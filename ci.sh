@@ -4,7 +4,9 @@
 # sbm-check invariant tests). Run from the repo root before pushing.
 #
 # Usage: ci.sh [--quick|--sanitize]
-#   --quick     skip the release build (lints + debug tests only)
+#   --quick     skip the workspace release build (lints + debug tests;
+#               the run-report smoke still builds its two binaries in
+#               release)
 #   --sanitize  run the dynamic-analysis job instead: the concurrency
 #               tests under ThreadSanitizer and the codec/aiger tests
 #               under Miri. Both need nightly extras (the `rust-src`
@@ -159,16 +161,13 @@ fi
 # re-encode); --require-bdd asserts the harvested BDD counters and
 # per-engine latency histograms are nonzero, and --require-sim asserts
 # the simulation-signature service actually screened candidates — the
-# layers the report exists to keep are actually flowing.
+# layers the report exists to keep are actually flowing. The report
+# carries timings, so this step builds and runs in release in both modes
+# (quick mode compiles just these two binaries).
 echo "==> run-report smoke (BENCH_quick.json)"
-if [[ $quick -eq 0 ]]; then
-    report_check=(cargo run -q -p sbm-bench --bin report_check --release --)
-else
-    cargo build -q -p sbm-bench --bin report_check
-    report_check=(cargo run -q -p sbm-bench --bin report_check --)
-fi
-"${table1[@]}" --only i2c,priority --threads 2 \
-    --report-json BENCH_quick.json >/dev/null
+report_check=(cargo run -q -p sbm-bench --bin report_check --release --)
+cargo run -q -p sbm-bench --bin table1 --release -- --only i2c,priority \
+    --threads 2 --report-json BENCH_quick.json >/dev/null
 "${report_check[@]}" BENCH_quick.json --require-bdd --require-sim
 
 # Sim-filter smoke (quick mode): run the same benchmark with the

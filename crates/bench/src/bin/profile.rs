@@ -59,8 +59,17 @@ fn main() {
         sweep(&mut w, &SweepOptions::default());
         w.cleanup()
     });
+    let mut redundancy = None;
     cur = stage("redundancy", &cur, |a| {
-        remove_redundancies(a, &RedundancyOptions::default()).aig
+        let result = remove_redundancies(a, &RedundancyOptions::default());
+        redundancy = Some(result.stats);
+        result.aig
     });
+    if let Some(stats) = redundancy {
+        println!(
+            "{:<12} {} checks: {} removed, {} refuted, {} undecided",
+            "", stats.checks, stats.removed, stats.refuted, stats.undecided
+        );
+    }
     println!("final: {} nodes", cur.num_ands());
 }

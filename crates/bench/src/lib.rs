@@ -14,21 +14,30 @@ use sbm_sat::{EquivalenceOracle, MiterOracle, Verdict};
 
 /// Verifies optimization results the way the paper does ("verified with
 /// an industrial formal equivalence checking flow"): SAT miter with a
-/// budget, falling back to random simulation screening on big designs.
+/// budget, falling back to random simulation screening on big designs and
+/// whenever the miter runs out of budget.
 pub fn verify_pair(original: &Aig, optimized: &Aig, sat_node_limit: usize) -> &'static str {
-    if original.num_ands().max(optimized.num_ands()) <= sat_node_limit {
-        match MiterOracle::new()
+    let sat = (original.num_ands().max(optimized.num_ands()) <= sat_node_limit).then(|| {
+        MiterOracle::new()
             .with_conflict_budget(Some(200_000))
             .check(original, optimized)
-        {
-            Verdict::Equivalent => "eq(SAT)",
-            Verdict::Unknown => "eq(sim)", // budget out: fall back below
-            Verdict::Refuted(_) => "MISMATCH",
+    });
+    verification_label(sat, || sim_equal(original, optimized))
+}
+
+/// Labels a verification outcome: the SAT verdict when there is one
+/// (`None` = the miter was skipped), otherwise random simulation decides.
+fn verification_label(sat: Option<Verdict>, sim_equal: impl FnOnce() -> bool) -> &'static str {
+    match sat {
+        Some(Verdict::Equivalent) => "eq(SAT)",
+        Some(Verdict::Refuted(_)) => "MISMATCH",
+        Some(Verdict::Unknown) | None => {
+            if sim_equal() {
+                "eq(sim)"
+            } else {
+                "MISMATCH"
+            }
         }
-    } else if sim_equal(original, optimized) {
-        "eq(sim)"
-    } else {
-        "MISMATCH"
     }
 }
 
@@ -255,4 +264,52 @@ pub fn pct(before: f64, after: f64) -> String {
         return "n/a".to_string();
     }
     format!("{:+.2}%", (after - before) / before * 100.0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn undecided_miter_defers_to_simulation() {
+        assert_eq!(
+            verification_label(Some(Verdict::Unknown), || true),
+            "eq(sim)"
+        );
+        assert_eq!(
+            verification_label(Some(Verdict::Unknown), || false),
+            "MISMATCH"
+        );
+    }
+
+    #[test]
+    fn decided_miter_ignores_simulation() {
+        let never = || panic!("simulation must not run");
+        assert_eq!(
+            verification_label(Some(Verdict::Equivalent), never),
+            "eq(SAT)"
+        );
+        assert_eq!(
+            verification_label(Some(Verdict::Refuted(vec![true])), never),
+            "MISMATCH"
+        );
+        assert_eq!(verification_label(None, || true), "eq(sim)");
+        assert_eq!(verification_label(None, || false), "MISMATCH");
+    }
+
+    #[test]
+    fn verify_pair_flags_a_changed_function() {
+        let mut a = Aig::new();
+        let x = a.add_input();
+        let y = a.add_input();
+        let f = a.and(x, y);
+        a.add_output(f);
+        let mut b = a.clone();
+        b.set_output(0, !f);
+        assert_eq!(verify_pair(&a, &a, 10), "eq(SAT)");
+        assert_eq!(verify_pair(&a, &b, 10), "MISMATCH");
+        // Over the SAT node limit, simulation decides.
+        assert_eq!(verify_pair(&a, &a, 0), "eq(sim)");
+        assert_eq!(verify_pair(&a, &b, 0), "MISMATCH");
+    }
 }

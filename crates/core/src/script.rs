@@ -923,7 +923,10 @@ pub fn script_fingerprint(options: &SbmOptions) -> u64 {
     // v5: the arena AIG core renumbers cleanup output canonically, so
     // snapshots written by older (pre-arena) binaries replay into a
     // different numbering and must not be resumed.
-    h.write_str("sbm-script-v5");
+    // v6: redundancy removal decides each candidate with a fault-cone
+    // miter, which can prove candidates the full-network miter left
+    // undecided, so its output may differ from older binaries'.
+    h.write_str("sbm-script-v6");
     h.write_u64(options.iterations as u64);
     h.write_u64(u64::from(options.sim_filter));
     h.write_u64(u64::from(options.canonical_steps));

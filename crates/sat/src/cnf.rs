@@ -52,17 +52,32 @@ pub fn encode(aig: &Aig, solver: &mut Solver) -> CnfMap {
     }
     for id in aig.topo_order() {
         let (a, b) = aig.fanins(id);
-        let v = solver.new_var();
-        vars.insert(id, v);
         let la = SatLit::new(vars[&a.node()], a.is_complemented());
         let lb = SatLit::new(vars[&b.node()], b.is_complemented());
-        let lv = SatLit::pos(v);
-        // v ↔ la ∧ lb
-        solver.add_clause(&[!lv, la]);
-        solver.add_clause(&[!lv, lb]);
-        solver.add_clause(&[lv, !la, !lb]);
+        vars.insert(id, and_gate(solver, la, lb).var());
     }
     CnfMap { vars }
+}
+
+/// Adds a fresh variable `v` with `v ↔ a ∧ b` and returns its positive
+/// literal.
+pub(crate) fn and_gate(solver: &mut Solver, a: SatLit, b: SatLit) -> SatLit {
+    let v = SatLit::pos(solver.new_var());
+    solver.add_clause(&[!v, a]);
+    solver.add_clause(&[!v, b]);
+    solver.add_clause(&[v, !a, !b]);
+    v
+}
+
+/// Adds a fresh variable `d` with `d ↔ a ⊕ b` and returns its positive
+/// literal — one miter difference.
+pub(crate) fn xor_gate(solver: &mut Solver, a: SatLit, b: SatLit) -> SatLit {
+    let d = SatLit::pos(solver.new_var());
+    solver.add_clause(&[!d, a, b]);
+    solver.add_clause(&[!d, !a, !b]);
+    solver.add_clause(&[d, !a, b]);
+    solver.add_clause(&[d, a, !b]);
+    d
 }
 
 #[cfg(test)]

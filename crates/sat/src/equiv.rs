@@ -16,7 +16,7 @@
 use sbm_aig::Aig;
 use sbm_budget::Budget;
 
-use crate::cnf::encode;
+use crate::cnf::{encode, xor_gate};
 use crate::solver::{SatLit, SolveResult, Solver};
 
 /// Outcome of an [`EquivalenceOracle`] query.
@@ -102,15 +102,7 @@ impl EquivalenceOracle for MiterOracle {
         // difference.
         let mut diffs = Vec::with_capacity(a.num_outputs());
         for (oa, ob) in a.outputs().into_iter().zip(b.outputs()) {
-            let la = map_a.lit(oa);
-            let lb = map_b.lit(ob);
-            let d = SatLit::pos(solver.new_var());
-            // d ↔ la ⊕ lb
-            solver.add_clause(&[!d, la, lb]);
-            solver.add_clause(&[!d, !la, !lb]);
-            solver.add_clause(&[d, !la, lb]);
-            solver.add_clause(&[d, la, !lb]);
-            diffs.push(d);
+            diffs.push(xor_gate(&mut solver, map_a.lit(oa), map_b.lit(ob)));
         }
         solver.add_clause(&diffs);
         match solver.solve(&[]) {

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use sbm_sat::{
     equiv::{EquivalenceOracle, MiterOracle, Verdict},
-    redundancy::{remove_redundancies, RedundancyOptions},
+    redundancy::{fault_cone_check, remove_redundancies, RedundancyOptions},
     sweep::{sweep, SweepOptions},
     SatLit, SolveResult, Solver, Var,
 };
@@ -60,6 +60,12 @@ fn arb_recipe() -> impl Strategy<Value = Recipe> {
 }
 
 fn build(recipe: &Recipe) -> sbm_aig::Aig {
+    build_with_taps(recipe, &[])
+}
+
+/// Like [`build`], plus one extra output per tap (taps index the recipe's
+/// signals modulo their count).
+fn build_with_taps(recipe: &Recipe, taps: &[(usize, bool)]) -> sbm_aig::Aig {
     let mut aig = sbm_aig::Aig::new();
     let mut signals: Vec<sbm_aig::Lit> = (0..recipe.num_inputs).map(|_| aig.add_input()).collect();
     for &(op, a, b, na, nb) in &recipe.steps {
@@ -74,6 +80,9 @@ fn build(recipe: &Recipe) -> sbm_aig::Aig {
     }
     let out = *signals.last().expect("at least one signal");
     aig.add_output(out);
+    for &(tap, complemented) in taps {
+        aig.add_output(signals[tap % signals.len()].complement_if(complemented));
+    }
     aig
 }
 
@@ -131,8 +140,40 @@ proptest! {
     fn redundancy_removal_preserves_function(recipe in arb_recipe()) {
         let aig = build(&recipe);
         let opts = RedundancyOptions { max_checks: 200, ..Default::default() };
-        let cleaned = remove_redundancies(&aig, &opts).aig;
+        let result = remove_redundancies(&aig, &opts);
+        let stats = result.stats;
+        prop_assert!(stats.removed + stats.refuted + stats.undecided <= stats.checks, "{:?}", stats);
+        let cleaned = result.aig;
         prop_assert!(cleaned.num_ands() <= aig.num_ands());
         prop_assert_eq!(MiterOracle::new().check(&aig, &cleaned), Verdict::Equivalent);
+    }
+
+    /// The fault-cone check decides every (AND gate, fanin) replacement
+    /// exactly as an unbounded miter of the two full networks does, and
+    /// each refutation witness really changes an output.
+    #[test]
+    fn fault_cone_check_agrees_with_full_miter(
+        recipe in arb_recipe(),
+        taps in proptest::collection::vec((any::<u32>(), any::<bool>()), 0..=2),
+    ) {
+        let taps: Vec<(usize, bool)> = taps.iter().map(|&(t, c)| (t as usize, c)).collect();
+        let current = build_with_taps(&recipe, &taps).cleanup();
+        for id in current.topo_order() {
+            let (a, b) = current.fanins(id);
+            for fanin in [a, b] {
+                let mut replaced = current.clone();
+                replaced.replace(id, fanin).expect("a fanin never forms a cycle");
+                let replaced = replaced.cleanup();
+                let full = MiterOracle::new().check(&current, &replaced);
+                match fault_cone_check(&current, id, fanin, None) {
+                    Verdict::Equivalent => prop_assert_eq!(full, Verdict::Equivalent),
+                    Verdict::Refuted(witness) => {
+                        prop_assert!(matches!(full, Verdict::Refuted(_)), "full miter: {:?}", full);
+                        prop_assert!(current.eval(&witness) != replaced.eval(&witness), "witness {:?}", witness);
+                    }
+                    Verdict::Unknown => panic!("an unbounded check came back Unknown"),
+                }
+            }
+        }
     }
 }
