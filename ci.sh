@@ -108,6 +108,14 @@ echo "==> fault-injection smoke"
 cargo test -q -p sbm-core --test proptests \
     all_engine_fault_stress_completes_equivalent_with_exact_ledger
 
+# Move-determinism property: every gradient move applied twice to the same
+# network returns the same bytes and bailouts (with and without the
+# signature service, at one and two threads). The gradient engine's
+# failed-move memo is exact only while this holds.
+echo "==> move-determinism property"
+cargo test -q -p sbm-core --test proptests \
+    moves_are_deterministic_on_the_same_network
+
 if [[ $quick -eq 0 ]]; then
     # End-to-end CLI smoke: one reduced-scale table1 pass under injection
     # plus a tight per-script deadline, verifying the flags, the retry

@@ -8,9 +8,8 @@
 //! Usage: `profile [benchmark]` (default `div`).
 
 use sbm_budget::Budget;
-use sbm_core::engine::{
-    Balance, Bdiff, Engine, EngineCtx, Gradient, Hetero, Mspf, Refactor, Resub, Rewrite,
-};
+use sbm_core::engine::{Balance, Bdiff, Engine, EngineCtx, Hetero, Mspf, Refactor, Resub, Rewrite};
+use sbm_core::gradient::{gradient_optimize_filtered, GradientOptions};
 use sbm_core::script::resyn2rs;
 use sbm_epfl::{generate, Scale};
 use sbm_metrics::Timer;
@@ -39,11 +38,12 @@ fn main() {
     println!("{name}: {} nodes unoptimized", aig.num_ands());
     let budget = Budget::unlimited();
     let ctx = EngineCtx::new(&budget);
-    let engines: Vec<Box<dyn Engine>> = vec![
+    let before_gradient: Vec<Box<dyn Engine>> = vec![
         Box::new(Rewrite::default()),
         Box::new(Refactor::default()),
         Box::new(Resub::default()),
-        Box::new(Gradient::default()),
+    ];
+    let after_gradient: Vec<Box<dyn Engine>> = vec![
         Box::new(Hetero::default()),
         Box::new(Mspf::default()),
         Box::new(Bdiff::default()),
@@ -51,7 +51,28 @@ fn main() {
     let mut cur = aig;
     cur = stage("balance", &cur, |a| Balance.optimize(a, &ctx).aig);
     cur = stage("resyn2rs", &cur, resyn2rs);
-    for engine in &engines {
+    for engine in &before_gradient {
+        cur = stage(engine.name(), &cur, |a| engine.optimize(a, &ctx).aig);
+    }
+    let mut gradient = None;
+    cur = stage("gradient", &cur, |a| {
+        let (out, stats) =
+            gradient_optimize_filtered(a, &GradientOptions::default(), &budget, None);
+        gradient = Some(stats);
+        out
+    });
+    if let Some(stats) = gradient {
+        for (mv, rec) in stats.records {
+            println!(
+                "{:<12} {mv:?}: {} applied, {} replayed, {} accepted",
+                "",
+                rec.tried - rec.replayed,
+                rec.replayed,
+                rec.succeeded
+            );
+        }
+    }
+    for engine in &after_gradient {
         cur = stage(engine.name(), &cur, |a| engine.optimize(a, &ctx).aig);
     }
     cur = stage("sweep", &cur, |a| {

@@ -131,16 +131,19 @@ pub(crate) fn boolean_difference_resub_filtered(
         }
         // Alg. 1's all_bdds hashtable: canonical BDD → implementing literal.
         // Leaves and members both participate, so an existing node whose
-        // function equals a difference is reused directly.
+        // function equals a difference is reused directly. Filled in node
+        // order: when several window signals share a function, the
+        // lowest-numbered one implements it, independent of hash order.
         let mut all_bdds: HashMap<Bdd, Lit> = HashMap::new();
         all_bdds.insert(Bdd::ZERO, Lit::FALSE);
         all_bdds.insert(Bdd::ONE, Lit::TRUE);
-        for (&node, &maybe) in &bdds {
-            if let Some(b) = maybe {
-                all_bdds.entry(b).or_insert_with(|| Lit::new(node, false));
-                if let Ok(nb) = mgr.not(b) {
-                    all_bdds.entry(nb).or_insert_with(|| Lit::new(node, true));
-                }
+        let mut built: Vec<(NodeId, Bdd)> =
+            bdds.iter().filter_map(|(&n, &b)| Some((n, b?))).collect();
+        built.sort_unstable_by_key(|&(n, _)| n);
+        for (node, b) in built {
+            all_bdds.entry(b).or_insert_with(|| Lit::new(node, false));
+            if let Ok(nb) = mgr.not(b) {
+                all_bdds.entry(nb).or_insert_with(|| Lit::new(node, true));
             }
         }
         let leaf_lits: Vec<Lit> = part.leaves.iter().map(|&n| Lit::new(n, false)).collect();

@@ -525,8 +525,10 @@ impl Engine for Gradient {
             aig,
             |a| gradient_optimize_filtered(a, &options, ctx.budget(), ctx.sim()),
             |native, stats| {
+                // Replayed tries were answered from the failed-move memo:
+                // count only the moves actually applied.
                 for (_, record) in &native.records {
-                    stats.tried += record.tried as usize;
+                    stats.tried += (record.tried - record.replayed) as usize;
                     stats.accepted += record.succeeded as usize;
                     stats.bailouts += record.bailouts as usize;
                 }

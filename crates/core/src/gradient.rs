@@ -97,40 +97,26 @@ impl Move {
         opts
     }
 
-    /// Applies the move serially, returning the optimized network.
-    pub fn apply(self, aig: &Aig) -> Aig {
-        self.apply_budgeted(aig, 1, &Budget::unlimited()).0
-    }
-
-    /// Applies the move with `num_threads` workers: window-based moves are
-    /// fanned out through the parallel partition executor
-    /// ([`crate::pipeline::parallel_pass`]), and the eliminate/kernel move
-    /// enables its internal threshold-sweep threads. At `num_threads = 1`
-    /// this is exactly [`Move::apply`].
-    pub fn apply_threaded(self, aig: &Aig, num_threads: usize) -> Aig {
-        self.apply_budgeted(aig, num_threads, &Budget::unlimited())
-            .0
-    }
-
-    /// [`Move::apply_threaded`] with a shared [`Budget`]: BDD-backed moves
-    /// observe the deadline/cancellation and stop early, returning the best
-    /// network found so far. Also returns the BDD node-limit bailouts the
-    /// move incurred (always 0 for algebraic moves, which never build
-    /// BDDs), so the gradient engine's ledger covers its inner mspf/bdiff
-    /// invocations.
-    pub(crate) fn apply_budgeted(
-        self,
-        aig: &Aig,
-        num_threads: usize,
-        budget: &Budget,
-    ) -> (Aig, u64) {
-        self.apply_filtered(aig, num_threads, budget, None)
-    }
-
-    /// [`Move::apply_budgeted`] with an optional simulation-signature
-    /// service threaded into the BDD-backed moves (mspf, bdiff) for
-    /// candidate prefiltering.
-    pub(crate) fn apply_filtered(
+    /// Applies the move to `aig`, the one entry point of every move.
+    ///
+    /// With `num_threads > 1` and no signature service, window-based moves
+    /// are fanned out through the parallel partition executor
+    /// ([`crate::pipeline::parallel_pass_filtered`]), and the
+    /// eliminate/kernel move enables its internal threshold-sweep threads.
+    /// BDD-backed moves observe `budget`'s deadline/cancellation and stop
+    /// early, returning the best network found so far. With `sim` set, the
+    /// signature service prefilters the BDD-backed moves' (mspf, bdiff)
+    /// candidates.
+    ///
+    /// Also returns the BDD node-limit bailouts the move incurred (always
+    /// 0 for algebraic moves, which never build BDDs), so the gradient
+    /// engine's ledger covers its inner mspf/bdiff invocations.
+    ///
+    /// A move is a pure function of `aig`, given the same committed `sim`
+    /// patterns and a budget that has not run out: the gradient engine
+    /// relies on this to skip a move that already failed on an unchanged
+    /// network.
+    pub fn apply_filtered(
         self,
         aig: &Aig,
         num_threads: usize,
@@ -297,7 +283,7 @@ pub struct GradientOptions {
     /// Move selection policy.
     pub selection: Selection,
     /// Worker threads for move application (1 = strictly serial); see
-    /// [`Move::apply_threaded`].
+    /// [`Move::apply_filtered`].
     pub num_threads: usize,
 }
 
@@ -317,8 +303,12 @@ impl Default for GradientOptions {
 /// Per-move success statistics recorded during optimization.
 #[derive(Debug, Clone, Default)]
 pub struct MoveRecord {
-    /// Times the move was tried.
+    /// Times the move was tried and its cost charged, replays included
+    /// (the success score divides by this).
     pub tried: u64,
+    /// Tries answered from the failed-move memo instead of applying the
+    /// move: it had already returned gain 0 on the same network.
+    pub replayed: u64,
     /// Times it produced gain > 0.
     pub succeeded: u64,
     /// Total nodes gained.
@@ -348,7 +338,11 @@ pub(crate) fn gradient_optimize_impl(aig: &Aig, options: &GradientOptions) -> (A
     gradient_optimize_filtered(aig, options, &Budget::unlimited(), None)
 }
 
-pub(crate) fn gradient_optimize_filtered(
+/// Runs the gradient engine on `aig` under the move-cost budget of
+/// `options` and the wall-clock `budget`, with `sim` prefiltering the
+/// BDD-backed moves. Returns the optimized network and the per-move
+/// schedule statistics.
+pub fn gradient_optimize_filtered(
     aig: &Aig,
     options: &GradientOptions,
     budget: &Budget,
@@ -368,6 +362,13 @@ pub(crate) fn gradient_optimize_filtered(
     // The cost tier currently unlocked: cheap moves first (paper: "the
     // optimization engine starts by trying unit cost moves").
     let mut unlocked_cost = 1u32;
+    // Moves that returned gain 0 on `current` as it is now, with the
+    // bailouts that run incurred. A move is a pure function of its input
+    // network (the signature pool is committed only between script
+    // steps), so re-applying one of these would fail identically; its try
+    // is replayed from here instead — same cost, same record. Cleared
+    // whenever a move is adopted.
+    let mut failed: Vec<(Move, u64)> = Vec::new();
 
     while spent < cost_budget {
         // The wall-clock budget overrides the cost budget: a deadline or
@@ -409,17 +410,27 @@ pub(crate) fn gradient_optimize_filtered(
             if budget.check().is_err() {
                 break;
             }
-            let (result, bailouts) = mv.apply_filtered(&current, options.num_threads, budget, sim);
             spent += mv.cost();
-            let gain = size_before.saturating_sub(result.num_ands());
             let Some((_, rec)) = stats.records.iter_mut().find(|(mm, _)| *mm == mv) else {
                 unreachable!("stats tracks a record for every move");
             };
             rec.tried += 1;
+            if let Some(&(_, bailouts)) = failed.iter().find(|(m, _)| *m == mv) {
+                rec.replayed += 1;
+                rec.bailouts += bailouts;
+                if spent >= cost_budget {
+                    break;
+                }
+                continue;
+            }
+            let (result, bailouts) = mv.apply_filtered(&current, options.num_threads, budget, sim);
+            let gain = size_before.saturating_sub(result.num_ands());
             rec.bailouts += bailouts;
             if gain > 0 {
                 rec.succeeded += 1;
                 rec.total_gain += gain as u64;
+            } else {
+                failed.push((mv, bailouts));
             }
             let improves = best.as_ref().map_or(gain > 0, |&(_, _, g)| gain > g);
             if improves {
@@ -436,6 +447,7 @@ pub(crate) fn gradient_optimize_filtered(
         let gain = match best {
             Some((_, result, gain)) => {
                 current = result;
+                failed.clear();
                 gain
             }
             None => 0,
@@ -541,6 +553,155 @@ mod tests {
             },
         );
         assert!(par.num_ands() <= wf.num_ands());
+    }
+
+    /// Asserts a run's schedule: `(iterations, spent, extensions,
+    /// early_termination)` and, per move in `all_moves()` order,
+    /// `(tried, succeeded, total_gain, bailouts)`.
+    fn assert_schedule(
+        stats: &GradientStats,
+        run: (u32, u32, u32, bool),
+        moves: [(u64, u64, u64, u64); 11],
+    ) {
+        assert_eq!(
+            (
+                stats.iterations,
+                stats.spent,
+                stats.extensions,
+                stats.early_termination
+            ),
+            run
+        );
+        let got: Vec<(Move, (u64, u64, u64, u64))> = stats
+            .records
+            .iter()
+            .map(|(m, r)| (*m, (r.tried, r.succeeded, r.total_gain, r.bailouts)))
+            .collect();
+        let want: Vec<(Move, (u64, u64, u64, u64))> = all_moves().into_iter().zip(moves).collect();
+        assert_eq!(got, want);
+    }
+
+    /// Runs the engine on a reduced EPFL design; returns the AND counts
+    /// before and after, and the schedule.
+    fn epfl_schedule(name: &str, options: &GradientOptions) -> ((usize, usize), GradientStats) {
+        let aig = sbm_epfl::generate(name, sbm_epfl::Scale::Reduced).expect("known benchmark");
+        let (optimized, stats) = gradient_optimize_impl(&aig, options);
+        ((aig.num_ands(), optimized.num_ands()), stats)
+    }
+
+    /// The failed-move memo must not change which moves run or what they
+    /// record: these are the schedules of an engine that re-applies every
+    /// move, recorded without the memo.
+    /// router's tiers go flat (with a doubled budget, bdiff's bailouts are
+    /// replayed), int2float adopts moves that had failed on an earlier
+    /// network, and cavlc extends its budget and terminates early.
+    #[test]
+    fn memo_keeps_the_schedule() {
+        let (optimized, stats) = gradient_optimize_impl(&messy_aig(), &GradientOptions::default());
+        assert_eq!(optimized.num_ands(), 2);
+        assert_schedule(
+            &stats,
+            (8, 100, 0, false),
+            [
+                (8, 0, 0, 0),
+                (8, 1, 6, 0),
+                (6, 0, 0, 0),
+                (5, 0, 0, 0),
+                (5, 0, 0, 0),
+                (4, 0, 0, 0),
+                (4, 0, 0, 0),
+                (3, 0, 0, 0),
+                (2, 0, 0, 0),
+                (1, 0, 0, 0),
+                (1, 0, 0, 0),
+            ],
+        );
+
+        let (sizes, stats) = epfl_schedule("router", &GradientOptions::default());
+        assert_eq!(sizes, (131, 130));
+        assert_schedule(
+            &stats,
+            (8, 100, 0, false),
+            [
+                (6, 0, 0, 0),
+                (6, 0, 0, 0),
+                (6, 0, 0, 0),
+                (5, 0, 0, 0),
+                (5, 0, 0, 0),
+                (5, 0, 0, 0),
+                (6, 1, 1, 0),
+                (3, 0, 0, 0),
+                (1, 0, 0, 0),
+                (1, 0, 0, 0),
+                (1, 0, 0, 8),
+            ],
+        );
+        let replayed: u64 = stats.records.iter().map(|(_, r)| r.replayed).sum();
+        assert!(replayed > 0, "router's flat tiers must hit the memo");
+        let long = GradientOptions {
+            budget: 200,
+            k: 50,
+            ..Default::default()
+        };
+        let (sizes, stats) = epfl_schedule("router", &long);
+        assert_eq!(sizes, (131, 130));
+        assert_schedule(
+            &stats,
+            (11, 200, 0, false),
+            [
+                (10, 0, 0, 0),
+                (10, 0, 0, 0),
+                (9, 0, 0, 0),
+                (8, 0, 0, 0),
+                (8, 0, 0, 0),
+                (8, 0, 0, 0),
+                (8, 1, 1, 0),
+                (6, 0, 0, 0),
+                (5, 0, 0, 0),
+                (4, 0, 0, 0),
+                (3, 0, 0, 24),
+            ],
+        );
+
+        let (sizes, stats) = epfl_schedule("int2float", &GradientOptions::default());
+        assert_eq!(sizes, (136, 113));
+        assert_schedule(
+            &stats,
+            (11, 100, 0, false),
+            [
+                (6, 0, 0, 0),
+                (6, 0, 0, 0),
+                (7, 1, 9, 0),
+                (5, 0, 0, 0),
+                (8, 3, 5, 0),
+                (3, 0, 0, 0),
+                (3, 0, 0, 0),
+                (2, 0, 0, 0),
+                (1, 0, 0, 0),
+                (1, 0, 0, 0),
+                (3, 1, 9, 39),
+            ],
+        );
+
+        let (sizes, stats) = epfl_schedule("cavlc", &GradientOptions::default());
+        assert_eq!(sizes, (397, 51));
+        assert_schedule(
+            &stats,
+            (35, 350, 5, true),
+            [
+                (30, 5, 13, 0),
+                (27, 4, 78, 0),
+                (21, 1, 3, 0),
+                (20, 3, 251, 0),
+                (15, 1, 1, 0),
+                (13, 0, 0, 0),
+                (13, 0, 0, 0),
+                (7, 0, 0, 0),
+                (6, 0, 0, 0),
+                (6, 0, 0, 0),
+                (5, 0, 0, 0),
+            ],
+        );
     }
 
     #[test]

@@ -11,10 +11,11 @@ use sbm_core::engine::{
     run_checked, Balance, Bdiff, Engine, EngineCtx, Gradient, Hetero, Mspf, Refactor, Resub,
     Rewrite,
 };
-use sbm_core::gradient::GradientOptions;
+use sbm_core::gradient::{all_moves, GradientOptions};
 use sbm_core::pipeline::{Pipeline, PipelineOptions, PipelineReport};
 use sbm_core::verify::equivalent;
 use sbm_core::CheckLevel;
+use sbm_sim::{SigService, SimConfig};
 
 #[derive(Debug, Clone)]
 struct Recipe {
@@ -141,6 +142,49 @@ proptest! {
                 violations
             );
             prop_assert!(equivalent(&aig, &result.aig), "{} changed function", engine.name());
+        }
+    }
+}
+
+// The gradient engine's failed-move memo skips a move that already
+// returned gain 0 on an unchanged network. That is exact only if a move is
+// a pure function of its input: applied twice to the same network, every
+// move must return a byte-identical network and the same bailout count —
+// with a signature service holding committed counterexamples (its pending
+// pool grows between the two runs but is not read), and without one, at
+// one thread and on the two-worker window pipeline.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+    #[test]
+    fn moves_are_deterministic_on_the_same_network(
+        recipe in arb_recipe(),
+        cex_seeds in proptest::collection::vec(any::<u64>(), 1..=4),
+    ) {
+        let aig = build(&recipe);
+        let sim = SigService::new(SimConfig::default());
+        for seed in &cex_seeds {
+            let witness: Vec<bool> =
+                (0..aig.num_inputs()).map(|i| (seed >> (i % 64)) & 1 == 1).collect();
+            sim.record_cex(&witness);
+        }
+        prop_assert!(sim.commit_pending() > 0);
+        let budget = Budget::unlimited();
+        for mv in all_moves() {
+            for (num_threads, sim) in [(1, Some(&sim)), (1, None), (2, None)] {
+                let (first, first_bailouts) = mv.apply_filtered(&aig, num_threads, &budget, sim);
+                let (second, second_bailouts) = mv.apply_filtered(&aig, num_threads, &budget, sim);
+                prop_assert_eq!(
+                    sbm_aig::aiger::write_binary(&first),
+                    sbm_aig::aiger::write_binary(&second),
+                    "{:?} at {} thread(s), sim {}: networks differ",
+                    mv, num_threads, sim.is_some()
+                );
+                prop_assert_eq!(
+                    first_bailouts, second_bailouts,
+                    "{:?} at {} thread(s), sim {}: bailouts differ",
+                    mv, num_threads, sim.is_some()
+                );
+            }
         }
     }
 }

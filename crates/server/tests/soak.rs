@@ -19,6 +19,7 @@ use std::time::{Duration, Instant};
 use sbm_core::script::sbm_script_report;
 use sbm_metrics::RunReport;
 use sbm_server::corpus::{corpus_aiger, CORPUS_SIZE};
+use sbm_server::store::{ScanState, Store};
 use sbm_server::{job_sbm_options, JobOptions};
 
 const JOBS: usize = 200;
@@ -100,10 +101,18 @@ fn soak_kill_restart_loses_and_duplicates_nothing() {
         .expect("spawn loadgen");
 
     // SIGKILL the server mid-run: after some results exist but long
-    // before all of them do.
+    // before all of them do. Counted in the store, not in `out`: loadgen
+    // fetches results only after submitting its whole share, by which
+    // time a fast server has finished every job and nothing is left in
+    // flight to recover.
     let started = Instant::now();
+    let store = Store::open(&root).expect("open store");
     loop {
-        let done = count_results(&out);
+        let scanned = store.scan().expect("scan store");
+        let done = scanned
+            .iter()
+            .filter(|job| job.state == ScanState::Done)
+            .count();
         if done >= 5 {
             assert!(
                 done < JOBS,
