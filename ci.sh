@@ -116,6 +116,14 @@ echo "==> move-determinism property"
 cargo test -q -p sbm-core --test proptests \
     moves_are_deterministic_on_the_same_network
 
+# SOP-layer differential properties: division, kernels, factoring, ISOP,
+# elimination (and its maintained fanout index) and extraction must return
+# exactly what the straightforward implementations they replaced return —
+# the same covers in the same cube order, kernel lists, factored trees and
+# networks.
+echo "==> SOP differential properties"
+cargo test -q -p sbm-sop --test proptests
+
 if [[ $quick -eq 0 ]]; then
     # End-to-end CLI smoke: one reduced-scale table1 pass under injection
     # plus a tight per-script deadline, verifying the flags, the retry

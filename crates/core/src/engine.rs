@@ -403,8 +403,8 @@ impl Engine for Resub {
             aig,
             |a| resub_impl(a, &self.options),
             |native, stats| {
+                stats.tried = native.targets;
                 stats.accepted = native.zero_resubs + native.one_resubs;
-                stats.tried = stats.accepted;
             },
         )
     }

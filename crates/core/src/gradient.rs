@@ -722,4 +722,68 @@ mod tests {
         assert_eq!(optimized.num_ands(), 1);
         assert!(stats.spent < 10_000, "engine must not burn the budget");
     }
+
+    /// FNV-1a of the AIGER text of `aig`.
+    fn aiger_hash(aig: &Aig) -> u64 {
+        let mut h = sbm_journal::Fnv64::new();
+        h.write_str(&sbm_aig::aiger::write(aig));
+        h.finish()
+    }
+
+    /// The moves built on the SOP layer must keep their exact outputs.
+    /// These are the AIGER hashes of eliminate/kernel (default and
+    /// low-effort options), high-effort refactor and rewrite on reduced
+    /// EPFL designs, recorded before division, factoring, kernels,
+    /// elimination, extraction and ISOP lost their quadratic rescans.
+    #[test]
+    fn sop_moves_keep_their_outputs() {
+        let want: [(&str, [u64; 4]); 4] = [
+            (
+                "adder",
+                [
+                    0xde19_f8d9_7c07_b40d,
+                    0xfd84_141c_c516_b4cd,
+                    0x6c40_cf71_dffc_6bed,
+                    0x8ceb_0a8b_b8ff_23a7,
+                ],
+            ),
+            (
+                "max",
+                [
+                    0xe231_bd2a_7fd6_057c,
+                    0xe231_bd2a_7fd6_057c,
+                    0xe231_bd2a_7fd6_057c,
+                    0x2c0b_3f39_d5e7_6129,
+                ],
+            ),
+            (
+                "log2",
+                [
+                    0xfb47_f671_1e18_881b,
+                    0xdcbd_8a6d_ea79_e33e,
+                    0x6be2_ad64_6a12_a93c,
+                    0xdcbd_8a6d_ea79_e33e,
+                ],
+            ),
+            (
+                "i2c",
+                [
+                    0x1939_adc4_72d5_6043,
+                    0x1939_adc4_72d5_6043,
+                    0x1939_adc4_72d5_6043,
+                    0x1939_adc4_72d5_6043,
+                ],
+            ),
+        ];
+        for (name, hashes) in want {
+            let aig = sbm_epfl::generate(name, sbm_epfl::Scale::Reduced).expect("known benchmark");
+            let outputs = [
+                hetero_eliminate_kernel_impl(&aig, &HeteroOptions::default()).0,
+                hetero_eliminate_kernel_impl(&aig, &Move::hetero_options(false)).0,
+                refactor_impl(&aig, &Move::refactor_options(true)).0,
+                rewrite_impl(&aig, &RewriteOptions::default()).0,
+            ];
+            assert_eq!(outputs.map(|a| aiger_hash(&a)), hashes, "{name}");
+        }
+    }
 }

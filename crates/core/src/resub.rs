@@ -40,6 +40,9 @@ impl Default for ResubOptions {
 /// Statistics of a resubstitution pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResubStats {
+    /// Target nodes that reached the divisor search (live, with a window
+    /// truth table and a nonempty MFFC).
+    pub targets: usize,
     /// Direct divisor replacements.
     pub zero_resubs: usize,
     /// Two-divisor gate replacements.
@@ -75,6 +78,7 @@ pub(crate) fn resub_impl(aig: &Aig, options: &ResubOptions) -> (Aig, ResubStats)
             if saving == 0 {
                 continue;
             }
+            stats.targets += 1;
             let mut replacement: Option<(Lit, usize)> = None; // (lit, cost)
 
             // 0-resub: an existing divisor (either phase) matches exactly.
@@ -151,7 +155,13 @@ pub(crate) fn resub_impl(aig: &Aig, options: &ResubOptions) -> (Aig, ResubStats)
     if result.num_ands() <= aig.num_ands() {
         (result, stats)
     } else {
-        (aig.cleanup(), ResubStats::default())
+        (
+            aig.cleanup(),
+            ResubStats {
+                targets: stats.targets,
+                ..ResubStats::default()
+            },
+        )
     }
 }
 
@@ -191,6 +201,27 @@ mod tests {
             MiterOracle::new().check(&aig, &optimized),
             Verdict::Equivalent
         );
+    }
+
+    #[test]
+    fn targets_count_the_divisor_searches() {
+        // All three AND nodes (g, the OR and f) reach the divisor search;
+        // only f is replaced.
+        let mut aig = Aig::new();
+        let a = aig.add_input();
+        let b = aig.add_input();
+        let g = aig.and(a, b);
+        let o = aig.or(a, b);
+        let f = aig.and(g, o);
+        aig.add_output(g);
+        aig.add_output(f);
+        let (_, stats) = resub_impl(&aig, &ResubOptions::default());
+        assert_eq!(
+            (stats.targets, stats.zero_resubs, stats.one_resubs),
+            (3, 1, 0)
+        );
+        let (_, stats) = resub_impl(&Aig::new(), &ResubOptions::default());
+        assert_eq!(stats, ResubStats::default());
     }
 
     #[test]

@@ -94,6 +94,13 @@ impl Cube {
         Cube { lits }
     }
 
+    /// Wraps literals that are already sorted ascending, over distinct
+    /// signals (the caller's invariant; checked in debug builds).
+    pub(crate) fn from_sorted(lits: Vec<SignalLit>) -> Self {
+        debug_assert!(lits.windows(2).all(|w| w[0].signal() < w[1].signal()));
+        Cube { lits }
+    }
+
     /// The literals, sorted ascending.
     pub fn lits(&self) -> &[SignalLit] {
         &self.lits
@@ -123,6 +130,29 @@ impl Cube {
     /// self` as products, i.e. `other`'s ON-set is contained in `self`'s).
     pub fn covers(&self, other: &Cube) -> bool {
         self.lits.iter().all(|l| other.contains(*l))
+    }
+
+    /// The cube with `lit` added; its signal must not be mentioned yet.
+    fn with_lit(&self, lit: SignalLit) -> Cube {
+        let at = self.lits.partition_point(|l| *l < lit);
+        let mut lits = Vec::with_capacity(self.lits.len() + 1);
+        lits.extend_from_slice(&self.lits[..at]);
+        lits.push(lit);
+        lits.extend_from_slice(&self.lits[at..]);
+        Cube::from_sorted(lits)
+    }
+
+    /// Whether the cube shares no literal with `other` (either may still
+    /// mention a signal of the other in the opposite phase).
+    pub(crate) fn is_disjoint(&self, other: &Cube) -> bool {
+        self.lits.iter().all(|l| !other.contains(*l))
+    }
+
+    /// A 64-bit summary of the cube's literals: `a.covers(b)` implies
+    /// `a.signature() & !b.signature() == 0`, so a nonzero result rules
+    /// containment out without a merge.
+    fn signature(&self) -> u64 {
+        self.lits.iter().fold(0, |acc, l| acc | 1 << (l.0 % 64))
     }
 
     /// The product of two cubes; `None` if they contradict.
@@ -205,9 +235,10 @@ impl fmt::Display for Cube {
 /// A sum of products: a set of cubes.
 ///
 /// The constant-zero cover has no cubes; the constant-one cover is the
-/// single empty cube. Single-cube containment is maintained on construction
-/// (no cube covers another).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// single empty cube. Cubes are kept sorted, and single-cube containment is
+/// maintained on construction (no cube covers another). DESIGN.md ("SOP
+/// layer") lists the operations that rely on both.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Cover {
     cubes: Vec<Cube>,
 }
@@ -248,24 +279,42 @@ impl Cover {
         Cover { cubes }
     }
 
-    /// Removes cubes covered by other cubes (single-cube containment).
+    /// Wraps cubes that are already sorted and free of single-cube
+    /// containment (the caller's invariant; sortedness is checked in debug
+    /// builds).
+    pub(crate) fn from_minimal_sorted(cubes: Vec<Cube>) -> Self {
+        debug_assert!(cubes.windows(2).all(|w| w[0] < w[1]));
+        Cover { cubes }
+    }
+
+    /// Sorts the cubes, then removes duplicates and cubes covered by other
+    /// cubes (single-cube containment).
+    ///
+    /// A cube can only be covered by a strictly shorter one (an equally
+    /// long coverer is the same cube, and duplicates are gone), so each
+    /// cube is compared against the shorter cubes only, after a
+    /// literal-signature screen.
     fn make_scc_minimal(&mut self) {
         self.cubes.sort();
         self.cubes.dedup();
-        let cubes = std::mem::take(&mut self.cubes);
-        let mut kept: Vec<Cube> = Vec::with_capacity(cubes.len());
-        for c in &cubes {
-            if !cubes
+        let cubes = &self.cubes;
+        let mut by_len: Vec<usize> = (0..cubes.len()).collect();
+        by_len.sort_by_key(|&i| cubes[i].num_lits());
+        let sigs: Vec<u64> = cubes.iter().map(Cube::signature).collect();
+        let covered = |i: usize| {
+            let (len, sig) = (cubes[i].num_lits(), sigs[i]);
+            by_len
                 .iter()
-                .any(|other| other != c && other.covers(c) && !(c.covers(other) && other > c))
-            {
-                kept.push(c.clone());
-            }
-        }
-        // Handle exact duplicates removed by dedup; `kept` may still contain
-        // mutually-covering distinct cubes only if equal, which dedup ruled
-        // out.
-        self.cubes = kept;
+                .take_while(|&&j| cubes[j].num_lits() < len)
+                .any(|&j| sigs[j] & !sig == 0 && cubes[j].covers(&cubes[i]))
+        };
+        let keep: Vec<bool> = (0..cubes.len()).map(|i| !covered(i)).collect();
+        let cubes = std::mem::take(&mut self.cubes);
+        self.cubes = cubes
+            .into_iter()
+            .zip(keep)
+            .filter_map(|(c, keep)| keep.then_some(c))
+            .collect();
     }
 
     /// The cubes of this cover.
@@ -296,13 +345,14 @@ impl Cover {
 
     /// The distinct signals mentioned by the cover, ascending.
     pub fn signals(&self) -> Vec<u32> {
-        let mut set = BTreeSet::new();
-        for c in &self.cubes {
-            for l in c.lits() {
-                set.insert(l.signal());
-            }
-        }
-        set.into_iter().collect()
+        let mut signals: Vec<u32> = self
+            .cubes
+            .iter()
+            .flat_map(|c| c.lits().iter().map(|l| l.signal()))
+            .collect();
+        signals.sort_unstable();
+        signals.dedup();
+        signals
     }
 
     /// How many cubes contain `lit`.
@@ -424,9 +474,22 @@ impl Cover {
         let c1 = self.cofactor(SignalLit::positive(signal));
         let n0 = c0.complement(cube_limit)?;
         let n1 = c1.complement(cube_limit)?;
-        let x0 = n0.and_cube(&Cube::from_lits(&[SignalLit::negative(signal)]));
-        let x1 = n1.and_cube(&Cube::from_lits(&[SignalLit::positive(signal)]));
-        let result = x0.or(&x1);
+        // x̄·n0 + x·n1. The cofactors' complements do not mention the
+        // branch signal and are minimal, so adding its literal keeps each
+        // half minimal (and sorted), and no cube of one half covers a cube
+        // of the other: the sum only needs sorting.
+        let mut cubes: Vec<Cube> = n0
+            .cubes
+            .iter()
+            .map(|c| c.with_lit(SignalLit::negative(signal)))
+            .chain(
+                n1.cubes
+                    .iter()
+                    .map(|c| c.with_lit(SignalLit::positive(signal))),
+            )
+            .collect();
+        cubes.sort();
+        let result = Cover::from_minimal_sorted(cubes);
         if result.num_cubes() > cube_limit {
             None
         } else {

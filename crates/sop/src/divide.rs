@@ -5,6 +5,9 @@
 //! (no use of Boolean identities; the cubes of `q·d` are literally cubes of
 //! `f`). It is the workhorse of kernel-based extraction (De Micheli \[10\]).
 
+use std::cell::OnceCell;
+use std::collections::HashSet;
+
 use crate::cover::{Cover, Cube};
 
 /// Divides `f` by the single cube `d`: the quotient collects every cube of
@@ -19,7 +22,12 @@ pub fn divide_by_cube(f: &Cover, d: &Cube) -> (Cover, Cover) {
             None => r.push(c.clone()),
         }
     }
-    (Cover::from_cubes(q), Cover::from_cubes(r))
+    // `f` is sorted and SCC-minimal. Erasing `d` from the cubes that
+    // contain it keeps them distinct and minimal (two quotients in
+    // containment would put their cubes of `f` in containment), so only
+    // their order changes; the remainder is an ordered subset of `f`.
+    q.sort();
+    (Cover::from_minimal_sorted(q), Cover::from_minimal_sorted(r))
 }
 
 /// Weak division `f / d` for a multi-cube divisor: the quotient is the
@@ -28,35 +36,84 @@ pub fn divide_by_cube(f: &Cover, d: &Cube) -> (Cover, Cover) {
 /// Returns `(q, r)` with `f = q·d + r` (checked by the crate's property
 /// tests). When `d` does not divide `f`, `q` is the zero cover and `r = f`.
 pub fn divide(f: &Cover, d: &Cover) -> (Cover, Cover) {
-    if d.is_zero() {
-        return (Cover::zero(), f.clone());
-    }
-    let mut quotient: Option<Vec<Cube>> = None;
-    for dc in d.cubes() {
-        let (qi, _) = divide_by_cube(f, dc);
-        let set: Vec<Cube> = qi.cubes().to_vec();
-        quotient = Some(match quotient {
-            None => set,
-            Some(prev) => prev.into_iter().filter(|c| set.contains(c)).collect(),
-        });
-        if quotient.as_ref().is_some_and(Vec::is_empty) {
-            break;
+    Dividend::new(f).divide(d)
+}
+
+/// A cover indexed for weak division by several divisors in turn.
+///
+/// A cube `q` lies in the quotient of `f` by the divisor cube `e` exactly
+/// when `q` shares no literal with `e` and `q·e` is a cube of `f`, so the
+/// per-cube quotients are never materialized: the candidates are the
+/// quotient by the divisor's first cube, each tested against the other
+/// divisor cubes by membership in `f`.
+#[derive(Debug)]
+pub struct Dividend<'a> {
+    f: &'a Cover,
+    /// The cubes of `f`, indexed on the first multi-cube division that
+    /// has candidates to test.
+    cubes: OnceCell<HashSet<&'a Cube>>,
+}
+
+impl<'a> Dividend<'a> {
+    /// Prepares `f` for division.
+    pub fn new(f: &'a Cover) -> Self {
+        Dividend {
+            f,
+            cubes: OnceCell::new(),
         }
     }
-    let q = Cover::from_cubes(quotient.unwrap_or_default());
-    if q.is_zero() {
-        return (Cover::zero(), f.clone());
+
+    /// Whether `q·e` is a cube of `f` with `q` its quotient by `e`.
+    fn has_product(&self, q: &Cube, e: &Cube) -> bool {
+        let cubes = self.cubes.get_or_init(|| self.f.cubes().iter().collect());
+        q.is_disjoint(e) && q.intersect(e).is_some_and(|c| cubes.contains(&c))
     }
-    // r = f − q·d, cube-wise (q·d's cubes are cubes of f by construction).
-    let qd = q.and(d);
-    let r = Cover::from_cubes(
-        f.cubes()
+
+    /// The quotient cubes of `f / d`, in the order of `f`.
+    fn quotient_cubes(&self, d: &Cover) -> Vec<Cube> {
+        let Some((first, rest)) = d.cubes().split_first() else {
+            return Vec::new();
+        };
+        let mut q: Vec<Cube> = self
+            .f
+            .cubes()
             .iter()
-            .filter(|c| !qd.cubes().contains(c))
+            .filter_map(|c| c.quotient(first))
+            .collect();
+        if !rest.is_empty() {
+            q.retain(|qc| rest.iter().all(|e| self.has_product(qc, e)));
+        }
+        q
+    }
+
+    /// The number of cubes of the quotient `f / d`, without building it.
+    pub fn quotient_len(&self, d: &Cover) -> usize {
+        self.quotient_cubes(d).len()
+    }
+
+    /// Weak division `f / d`; see [`divide`].
+    pub fn divide(&self, d: &Cover) -> (Cover, Cover) {
+        let mut q = self.quotient_cubes(d);
+        if q.is_empty() {
+            return (Cover::zero(), self.f.clone());
+        }
+        // The quotient is a set of cube quotients of the minimal `f` (see
+        // `divide_by_cube`), so sorting makes it a cover.
+        q.sort();
+        // r = f − q·d, cube-wise (q·d's cubes are cubes of f by construction).
+        let products: HashSet<Cube> = q
+            .iter()
+            .flat_map(|qc| d.cubes().iter().filter_map(|e| qc.intersect(e)))
+            .collect();
+        let r: Vec<Cube> = self
+            .f
+            .cubes()
+            .iter()
+            .filter(|c| !products.contains(*c))
             .cloned()
-            .collect(),
-    );
-    (q, r)
+            .collect();
+        (Cover::from_minimal_sorted(q), Cover::from_minimal_sorted(r))
+    }
 }
 
 #[cfg(test)]
@@ -112,6 +169,17 @@ mod tests {
         let (q, r) = divide_by_cube(&f, &Cube::from_lits(&[a, b]));
         assert_eq!(q, cover(&[&[c], &[d]]));
         assert_eq!(r, cover(&[&[e]]));
+    }
+
+    #[test]
+    fn quotient_cubes_share_no_literal_with_the_divisor() {
+        // f = a·b·x + a·b·y, d = x + b·y: f/x = a·b but f/(b·y) = a, so
+        // a·b is no quotient cube although a·b·(b·y) is a cube of f.
+        let (a, b, x, y) = (lit(0), lit(1), lit(2), lit(3));
+        let f = cover(&[&[a, b, x], &[a, b, y]]);
+        let (q, r) = divide(&f, &cover(&[&[x], &[b, y]]));
+        assert!(q.is_zero());
+        assert_eq!(r, f);
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! The threshold is the knob the heterogeneous engine sweeps over
 //! `(-1, 2, 5, 20, 50, 100, 200, 300)`.
 
+use std::collections::HashMap;
+
 use crate::cover::{Cover, SignalLit};
 use crate::network::SopNetwork;
 
@@ -28,23 +30,127 @@ pub struct EliminateStats {
     pub passes: usize,
 }
 
-/// Computes the literal variation that collapsing `signal` into its fanouts
-/// would cause: `Σ lits(fanout after) − Σ lits(fanout before) − lits(node)`
-/// (the node's own cover disappears when the node dies).
+/// For every signal, the live nodes whose covers mention it, ascending —
+/// [`SopNetwork::fanouts`], built once and kept exact across collapses by
+/// [`Collapse::apply`] instead of being recomputed from the whole network.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FanoutIndex {
+    by_signal: HashMap<u32, Vec<u32>>,
+}
+
+impl FanoutIndex {
+    /// Indexes the fanouts of `net`.
+    pub fn new(net: &SopNetwork) -> Self {
+        FanoutIndex {
+            by_signal: net.fanouts(),
+        }
+    }
+
+    /// The live nodes whose covers mention `signal`, ascending; `None` if
+    /// there are none.
+    pub fn users(&self, signal: u32) -> Option<&[u32]> {
+        self.by_signal.get(&signal).map(Vec::as_slice)
+    }
+
+    /// The index as the map [`SopNetwork::fanouts`] returns.
+    pub fn as_map(&self) -> &HashMap<u32, Vec<u32>> {
+        &self.by_signal
+    }
+
+    fn add(&mut self, signal: u32, user: u32) {
+        let users = self.by_signal.entry(signal).or_default();
+        if let Err(at) = users.binary_search(&user) {
+            users.insert(at, user);
+        }
+    }
+
+    /// Removes `user` from the users of `signal`; returns whether that
+    /// left `signal` with none.
+    fn remove(&mut self, signal: u32, user: u32) -> bool {
+        let Some(users) = self.by_signal.get_mut(&signal) else {
+            return false;
+        };
+        if let Ok(at) = users.binary_search(&user) {
+            users.remove(at);
+        }
+        if users.is_empty() {
+            self.by_signal.remove(&signal);
+            return true;
+        }
+        false
+    }
+}
+
+/// Collapsing one node into its fanouts, computed but not yet applied:
+/// the literal variation it causes and the fanouts' substituted covers.
+#[derive(Debug, Clone)]
+pub struct Collapse {
+    signal: u32,
+    variation: i64,
+    rewritten: Vec<(u32, Cover)>,
+}
+
+impl Collapse {
+    /// The literal variation: `Σ lits(fanout after) − Σ lits(fanout
+    /// before) − lits(node)` (the node's own cover disappears when the
+    /// node dies).
+    pub fn variation(&self) -> i64 {
+        self.variation
+    }
+
+    /// Rewrites the fanouts of the collapsed node in `net` and updates
+    /// `fanouts` to match: users gained and lost by each rewritten cover,
+    /// then every node left without users (the collapsed node first) dies
+    /// and releases its own dependencies in turn.
+    pub fn apply(self, net: &mut SopNetwork, fanouts: &mut FanoutIndex) {
+        let mut orphaned = Vec::new();
+        for (u, cover) in self.rewritten {
+            let old = net.cover(u).signals();
+            let new = cover.signals();
+            for &s in &old {
+                if new.binary_search(&s).is_err() && fanouts.remove(s, u) {
+                    orphaned.push(s);
+                }
+            }
+            for &s in &new {
+                if old.binary_search(&s).is_err() {
+                    fanouts.add(s, u);
+                }
+            }
+            net.set_cover(u, cover);
+        }
+        debug_assert!(orphaned.contains(&self.signal));
+        while let Some(s) = orphaned.pop() {
+            if net.is_input(s)
+                || fanouts.users(s).is_some()
+                || net.outputs().iter().any(|l| l.signal() == s)
+            {
+                continue;
+            }
+            for dep in net.cover(s).signals() {
+                if fanouts.remove(dep, s) {
+                    orphaned.push(dep);
+                }
+            }
+        }
+    }
+}
+
+/// Computes collapsing `signal` into its fanouts, given the network's
+/// current `fanouts`.
 ///
 /// Returns `None` if the collapse is infeasible (a fanout uses the node in
 /// the negative phase and the complement blows past the cube budget, or the
 /// node drives a primary output so it cannot die).
-pub fn collapse_variation(net: &SopNetwork, signal: u32) -> Option<i64> {
+pub fn plan_collapse(net: &SopNetwork, fanouts: &FanoutIndex, signal: u32) -> Option<Collapse> {
     if net.is_input(signal) {
         return None;
     }
     if net.outputs().iter().any(|l| l.signal() == signal) {
         return None;
     }
-    let fanouts = net.fanouts();
-    let users = fanouts.get(&signal)?;
-    let pos = net.cover(signal).clone();
+    let users = fanouts.users(signal)?;
+    let pos = net.cover(signal);
     let needs_neg = users.iter().any(|&u| {
         net.cover(u)
             .cubes()
@@ -56,46 +162,18 @@ pub fn collapse_variation(net: &SopNetwork, signal: u32) -> Option<i64> {
     } else {
         Cover::zero()
     };
-    let mut delta: i64 = -(pos.num_lits() as i64);
+    let mut variation: i64 = -(pos.num_lits() as i64);
+    let mut rewritten = Vec::with_capacity(users.len());
     for &u in users {
-        let before = net.cover(u).num_lits() as i64;
-        let after = net.cover(u).substitute(signal, &pos, &neg).num_lits() as i64;
-        delta += after - before;
+        let after = net.cover(u).substitute(signal, pos, &neg);
+        variation += after.num_lits() as i64 - net.cover(u).num_lits() as i64;
+        rewritten.push((u, after));
     }
-    Some(delta)
-}
-
-/// Collapses `signal` into all its fanouts (unconditionally, as long as it
-/// is feasible). Returns whether the collapse happened.
-pub fn collapse(net: &mut SopNetwork, signal: u32) -> bool {
-    if net.is_input(signal) || net.outputs().iter().any(|l| l.signal() == signal) {
-        return false;
-    }
-    let fanouts = net.fanouts();
-    let users = match fanouts.get(&signal) {
-        Some(u) => u.clone(),
-        None => return false,
-    };
-    let pos = net.cover(signal).clone();
-    let needs_neg = users.iter().any(|&u| {
-        net.cover(u)
-            .cubes()
-            .iter()
-            .any(|c| c.contains(SignalLit::negative(signal)))
-    });
-    let neg = if needs_neg {
-        match pos.complement(COMPLEMENT_CUBE_LIMIT) {
-            Some(n) => n,
-            None => return false,
-        }
-    } else {
-        Cover::zero()
-    };
-    for u in users {
-        let new_cover = net.cover(u).substitute(signal, &pos, &neg);
-        net.set_cover(u, new_cover);
-    }
-    true
+    Some(Collapse {
+        signal,
+        variation,
+        rewritten,
+    })
 }
 
 /// Runs eliminate to a fixpoint with the given literal-variation
@@ -105,13 +183,15 @@ pub fn collapse(net: &mut SopNetwork, signal: u32) -> bool {
 /// almost everything feasible.
 pub fn eliminate(net: &mut SopNetwork, threshold: i64) -> EliminateStats {
     let mut stats = EliminateStats::default();
+    let mut fanouts = FanoutIndex::new(net);
     loop {
         stats.passes += 1;
         let mut any = false;
         // Snapshot the node list: collapsing changes fanouts as we go.
         for signal in net.live_nodes() {
-            if let Some(delta) = collapse_variation(net, signal) {
-                if delta < threshold && collapse(net, signal) {
+            if let Some(c) = plan_collapse(net, &fanouts, signal) {
+                if c.variation() < threshold {
+                    c.apply(net, &mut fanouts);
                     stats.collapsed += 1;
                     any = true;
                 }
@@ -136,6 +216,19 @@ mod tests {
 
     fn lit(s: u32) -> SignalLit {
         SignalLit::positive(s)
+    }
+
+    fn collapse_variation(net: &SopNetwork, signal: u32) -> Option<i64> {
+        plan_collapse(net, &FanoutIndex::new(net), signal).map(|c| c.variation())
+    }
+
+    fn collapse(net: &mut SopNetwork, signal: u32) -> bool {
+        let mut fanouts = FanoutIndex::new(net);
+        let Some(c) = plan_collapse(net, &fanouts, signal) else {
+            return false;
+        };
+        c.apply(net, &mut fanouts);
+        true
     }
 
     /// x = a·b; f = x·c — collapsing x gives f = a·b·c.
@@ -182,6 +275,30 @@ mod tests {
         assert!(collapse(&mut net, x));
         assert_eq!(net.eval(&[true, true]), vec![false]);
         assert_eq!(net.eval(&[true, false]), vec![true]);
+    }
+
+    #[test]
+    fn collapse_releases_nodes_left_without_users() {
+        // y = a·b, x = y·c, f = x·c' + a. Collapsing x contradicts f's
+        // first cube away, so f = a: x dies, then y, whose only user was
+        // x, and b, whose only user was y, loses its entry.
+        let mut net = SopNetwork::new(3);
+        let (a, b, c) = (lit(0), lit(1), lit(2));
+        let y = net.add_node(Cover::from_cubes(vec![Cube::from_lits(&[a, b])]));
+        let x = net.add_node(Cover::from_cubes(vec![Cube::from_lits(&[lit(y), c])]));
+        let f = net.add_node(Cover::from_cubes(vec![
+            Cube::from_lits(&[lit(x), c.negate()]),
+            Cube::from_lits(&[a]),
+        ]));
+        net.add_output(lit(f));
+        let mut fanouts = FanoutIndex::new(&net);
+        let Some(plan) = plan_collapse(&net, &fanouts, x) else {
+            panic!("x is collapsible");
+        };
+        plan.apply(&mut net, &mut fanouts);
+        assert_eq!(net.live_nodes(), vec![f]);
+        assert_eq!(fanouts.as_map(), &net.fanouts());
+        assert_eq!(fanouts.users(1), None);
     }
 
     #[test]

@@ -8,14 +8,16 @@
 //! extraction … allows us to share large portions of logic circuits, which
 //! are hard to find with other techniques" (paper, Section IV-B).
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
 use crate::cover::{Cover, Cube, SignalLit};
 use crate::divide::divide;
 use crate::network::SopNetwork;
 
 /// A candidate divisor: either a two-cube cover or a single cube.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 enum Divisor {
     /// Two cube-free cubes (a double-cube divisor / 2-cube kernel).
     Double(Cube, Cube),
@@ -48,46 +50,139 @@ pub struct ExtractStats {
     pub literals_saved: i64,
 }
 
-/// Enumerates candidate divisors with their total per-occurrence literal
-/// saving (before subtracting the cost of the new divisor node).
+/// Every candidate divisor of the live nodes with its total
+/// per-occurrence literal saving (before subtracting the cost of the new
+/// divisor node), maintained as node covers come and go.
 ///
 /// For a double-cube divisor `d` found in cubes `C·a + C·b` (co-kernel
 /// cube `C`), rewriting the two cubes into `C·x` saves
 /// `lits(d) + 2·|C| − (1 + |C|) = lits(d) + |C| − 1` literals. For a
 /// single-cube divisor of `l` literals used once, the saving is `l − 1`.
-fn candidates(net: &SopNetwork) -> HashMap<Divisor, i64> {
-    let mut savings: HashMap<Divisor, i64> = HashMap::new();
-    for s in net.live_nodes() {
-        let cover = net.cover(s);
+#[derive(Default)]
+struct Candidates {
+    /// Total saving per divisor with at least one occurrence.
+    savings: BTreeMap<Divisor, i64>,
+}
+
+impl Candidates {
+    /// Adds (`sign = 1`) or removes (`sign = -1`) the occurrences in
+    /// `cover`.
+    fn count(&mut self, cover: &Cover, sign: i64) {
+        self.count_changed(cover, &Cover::zero(), sign);
+    }
+
+    /// Moves a node's occurrences from its `old` cover to its `new` one.
+    /// Cube pairs the two covers share contribute the same to both and
+    /// cancel, so only the pairs touching a changed cube are counted.
+    fn recount(&mut self, old: &Cover, new: &Cover) {
+        self.count_changed(old, new, -1);
+        self.count_changed(new, old, 1);
+    }
+
+    /// Adds (`sign = 1`) or removes (`sign = -1`) the occurrences in
+    /// `cover` that involve a cube `other` does not have.
+    fn count_changed(&mut self, cover: &Cover, other: &Cover, sign: i64) {
         let cubes = cover.cubes();
+        let changed: Vec<bool> = cubes
+            .iter()
+            .map(|c| other.cubes().binary_search(c).is_err())
+            .collect();
         // Double-cube divisors from every cube pair.
         for i in 0..cubes.len() {
             for j in i + 1..cubes.len() {
-                let common = cubes[i].common(&cubes[j]);
-                let (Some(a), Some(b)) = (cubes[i].quotient(&common), cubes[j].quotient(&common))
-                else {
-                    unreachable!("the common cube divides both of its cubes");
-                };
-                if a.is_one() || b.is_one() {
+                if !(changed[i] || changed[j]) {
                     continue;
                 }
-                let saving = (a.num_lits() + b.num_lits() + common.num_lits()) as i64 - 1;
-                let (a, b) = if a <= b { (a, b) } else { (b, a) };
-                *savings.entry(Divisor::Double(a, b)).or_insert(0) += saving;
+                if let Some((d, saving)) = double_divisor(&cubes[i], &cubes[j]) {
+                    self.adjust(d, sign * saving);
+                }
             }
         }
         // Single-cube divisors: all literal pairs within a cube.
-        for c in cubes {
+        for (c, _) in cubes.iter().zip(&changed).filter(|(_, &changed)| changed) {
             let lits = c.lits();
             for i in 0..lits.len() {
                 for j in i + 1..lits.len() {
                     let cube = Cube::from_lits(&[lits[i], lits[j]]);
-                    *savings.entry(Divisor::Single(cube)).or_insert(0) += 1;
+                    self.adjust(Divisor::Single(cube), sign);
                 }
             }
         }
     }
-    savings
+
+    fn adjust(&mut self, d: Divisor, delta: i64) {
+        match self.savings.entry(d) {
+            Entry::Occupied(mut e) => {
+                *e.get_mut() += delta;
+                if *e.get() == 0 {
+                    e.remove();
+                }
+            }
+            Entry::Vacant(e) => {
+                e.insert(delta);
+            }
+        }
+    }
+
+    /// The `n` best divisors of positive estimated value, best first:
+    /// value descending, ties broken by the divisor itself (a total order,
+    /// so the choice does not depend on the order divisors were counted).
+    fn best(&self, n: usize) -> Vec<Divisor> {
+        let mut best: Vec<(Reverse<i64>, &Divisor)> = Vec::with_capacity(n + 1);
+        for (d, total) in &self.savings {
+            let value = estimated_value(d, *total);
+            if value <= 0 {
+                continue;
+            }
+            let key = (Reverse(value), d);
+            if best.len() == n && best.last().is_some_and(|last| key >= *last) {
+                continue;
+            }
+            let at = best.partition_point(|other| *other < key);
+            best.insert(at, key);
+            best.truncate(n);
+        }
+        best.into_iter().map(|(_, d)| d.clone()).collect()
+    }
+}
+
+/// The double-cube divisor in cubes `x` and `y`: their quotients `a` and
+/// `b` by their common cube `C`, in order, with the saving of rewriting
+/// `C·a + C·b` into `C·x`; `None` if either quotient is the constant one.
+fn double_divisor(x: &Cube, y: &Cube) -> Option<(Divisor, i64)> {
+    let (x, y) = (x.lits(), y.lits());
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    let (mut i, mut j, mut common) = (0, 0, 0);
+    while i < x.len() && j < y.len() {
+        match x[i].cmp(&y[j]) {
+            std::cmp::Ordering::Equal => {
+                common += 1;
+                i += 1;
+                j += 1;
+            }
+            std::cmp::Ordering::Less => {
+                a.push(x[i]);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                b.push(y[j]);
+                j += 1;
+            }
+        }
+    }
+    a.extend_from_slice(&x[i..]);
+    b.extend_from_slice(&y[j..]);
+    if a.is_empty() || b.is_empty() {
+        return None;
+    }
+    let saving = (a.len() + b.len() + common) as i64 - 1;
+    let (a, b) = (Cube::from_sorted(a), Cube::from_sorted(b));
+    let d = if a <= b {
+        Divisor::Double(a, b)
+    } else {
+        Divisor::Double(b, a)
+    };
+    Some((d, saving))
 }
 
 /// Estimated net literal saving of extracting `d`: the accumulated
@@ -141,52 +236,64 @@ fn substitute_divisor(cover: &Cover, d: &Cover, x: u32) -> Option<Cover> {
 /// ```
 pub fn extract(net: &mut SopNetwork, max_rounds: usize) -> ExtractStats {
     let mut stats = ExtractStats::default();
+    // A round only rewrites some covers and brings the new divisor node to
+    // life, so the live nodes, their literal total and the candidate
+    // divisors carry over between rounds and are updated from the changes.
+    let mut live = net.live_nodes();
+    let mut lits: usize = live.iter().map(|&s| net.cover(s).num_lits()).sum();
+    let mut cands = Candidates::default();
+    for &s in &live {
+        cands.count(net.cover(s), 1);
+    }
     for _ in 0..max_rounds {
-        let cands = candidates(net);
-        // Rank by estimated value; try the best few with exact accounting.
-        let mut ranked: Vec<(Divisor, i64)> = cands
-            .into_iter()
-            .filter(|(d, saving)| estimated_value(d, *saving) > 0)
-            .collect();
-        // Tie-break equal-value divisors by the divisor itself: `cands`
-        // is a HashMap, so relying on stable sort alone would make the
-        // greedy choice (and the final network) nondeterministic.
-        ranked.sort_by(|(da, sa), (db, sb)| {
-            estimated_value(db, *sb)
-                .cmp(&estimated_value(da, *sa))
-                .then_with(|| da.cmp(db))
-        });
+        // Try the best few by estimated value with exact accounting.
         let mut applied = false;
-        for (divisor, _) in ranked.into_iter().take(8) {
+        for divisor in cands.best(8) {
             let d = divisor.to_cover();
-            let before = net.num_lits() as i64;
-            // Tentatively create the divisor node and rewrite users.
+            // Tentatively create the divisor node and rewrite users. A
+            // divisor that rewrites nothing leaves a dead node behind,
+            // which cleanup drops.
             let x = net.add_node(d.clone());
-            let mut rewrote = false;
-            for s in net.live_nodes() {
-                if s == x {
-                    continue;
-                }
+            let mut old_covers: Vec<(u32, Cover)> = Vec::new();
+            for &s in &live {
                 if let Some(newc) = substitute_divisor(net.cover(s), &d, x) {
+                    old_covers.push((s, net.cover(s).clone()));
                     net.set_cover(s, newc);
-                    rewrote = true;
                 }
             }
-            let after = net.num_lits() as i64;
-            if rewrote && after < before {
+            if old_covers.is_empty() {
+                continue;
+            }
+            // substitute_divisor only fires when it strictly reduces that
+            // cover; the round ends whether or not the total improved.
+            let new_live = net.live_nodes();
+            let after: usize = new_live.iter().map(|&s| net.cover(s).num_lits()).sum();
+            if after < lits {
                 stats.divisors_extracted += 1;
-                stats.literals_saved += before - after;
-                applied = true;
-                break;
+                stats.literals_saved += (lits - after) as i64;
             }
-            // No exact gain: the new node is dead (no references) and will
-            // be dropped by cleanup. Undo any rewrites by reverting is not
-            // needed because substitute_divisor only fired when it strictly
-            // reduced that cover; if total didn't improve, keep going.
-            if rewrote && after >= before {
-                applied = true;
-                break;
+            for (s, old) in &old_covers {
+                if new_live.binary_search(s).is_ok() {
+                    cands.recount(old, net.cover(*s));
+                } else {
+                    cands.count(old, -1);
+                }
             }
+            let rewritten = |s: &u32| old_covers.iter().any(|(r, _)| r == s);
+            for s in &live {
+                if !rewritten(s) && new_live.binary_search(s).is_err() {
+                    cands.count(net.cover(*s), -1);
+                }
+            }
+            for s in &new_live {
+                if live.binary_search(s).is_err() {
+                    cands.count(net.cover(*s), 1);
+                }
+            }
+            live = new_live;
+            lits = after;
+            applied = true;
+            break;
         }
         if !applied {
             break;

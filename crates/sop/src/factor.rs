@@ -6,10 +6,11 @@
 //! V-A: "after each transformation, the logic network is translated into an
 //! AIG").
 
+use std::collections::HashMap;
 use std::fmt;
 
 use crate::cover::{Cover, Cube, SignalLit};
-use crate::divide::divide_by_cube;
+use crate::divide::{divide_by_cube, Dividend};
 
 /// A factored Boolean expression over network signals.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -133,22 +134,29 @@ pub fn factor(f: &Cover) -> Factored {
             .filter(|k| k != f && k.num_cubes() >= 2)
             .collect()
     };
+    let dividend = Dividend::new(f);
     let best_kernel = proper_kernels.into_iter().max_by_key(|k| {
-        let (q, _) = crate::divide::divide(f, k);
         // Prefer kernels that remove the most literals from f.
-        (q.num_cubes().saturating_sub(1)) * k.num_lits()
+        (dividend.quotient_len(k).saturating_sub(1)) * k.num_lits()
     });
     if let Some(k) = best_kernel {
-        let (q, r) = crate::divide::divide(f, &k);
+        let (q, r) = dividend.divide(&k);
         if !q.is_zero() && q.num_cubes() >= 1 && (q.num_cubes() > 1 || k.num_lits() > 1) {
             return or(and(factor(&q), factor(&k)), factor(&r));
         }
     }
-    // Fall back to literal factoring on the most frequent literal.
+    // Fall back to literal factoring on the most frequent literal (the
+    // first to reach the highest count, scanning cubes in order).
+    let mut counts: HashMap<SignalLit, usize> = HashMap::new();
+    for c in f.cubes() {
+        for &l in c.lits() {
+            *counts.entry(l).or_insert(0) += 1;
+        }
+    }
     let mut best: Option<(SignalLit, usize)> = None;
     for c in f.cubes() {
         for &l in c.lits() {
-            let count = f.lit_count(l);
+            let count = counts[&l];
             if best.is_none_or(|(_, b)| count > b) {
                 best = Some((l, count));
             }

@@ -20,8 +20,12 @@ use crate::cover::{Cover, Cube, SignalLit};
 pub fn isop(on: &TruthTable, upper: &TruthTable) -> Cover {
     assert_eq!(on.num_vars(), upper.num_vars());
     assert!(on.implies(upper), "lower bound must imply upper bound");
-    let (cover, _) = isop_rec(on, upper, on.num_vars());
-    cover
+    let mut cubes = Vec::new();
+    isop_words(on.words(), upper.words(), on.num_vars(), &mut cubes);
+    // Sorting and containment-filtering once gives the same cover as doing
+    // it at every recursion level: appending the branch literal preserves
+    // containment between cubes, and the three branches never share a cube.
+    Cover::from_cubes(cubes.into_iter().map(Cube::from_sorted).collect())
 }
 
 /// Computes an irredundant cover of `f` exactly (no don't-cares).
@@ -29,52 +33,99 @@ pub fn isop_exact(f: &TruthTable) -> Cover {
     isop(f, f)
 }
 
-/// Recursive Minato–Morreale: returns the cover and the table of its
-/// function.
-fn isop_rec(lower: &TruthTable, upper: &TruthTable, vars_left: usize) -> (Cover, TruthTable) {
-    let n = lower.num_vars();
-    if lower.is_zero() {
-        return (Cover::zero(), TruthTable::zero(n));
+/// Recursive Minato–Morreale over the top variable `vars − 1`: appends the
+/// cover's cubes (literal lists, sorted) to `cubes` and returns the table
+/// of its function.
+///
+/// Tables shrink with the recursion: a table over `vars` variables is its
+/// `2^vars` bits, so the cofactors by the top variable are its two halves.
+/// Levels of at most six variables run on single words
+/// ([`isop_word`]).
+fn isop_words(
+    lower: &[u64],
+    upper: &[u64],
+    vars: usize,
+    cubes: &mut Vec<Vec<SignalLit>>,
+) -> Vec<u64> {
+    if vars <= 6 {
+        return vec![isop_word(lower[0], upper[0], vars, cubes)];
     }
-    if upper.is_one() {
-        return (Cover::one(), TruthTable::one(n));
+    if lower.iter().all(|&w| w == 0) {
+        return vec![0; lower.len()];
     }
-    debug_assert!(vars_left > 0, "non-constant bounds but no variables left");
-    let v = vars_left - 1;
-    let x = SignalLit::positive(v as u32);
-    let nx = SignalLit::negative(v as u32);
-
-    let l0 = lower.cofactor0(v);
-    let l1 = lower.cofactor1(v);
-    let u0 = upper.cofactor0(v);
-    let u1 = upper.cofactor1(v);
+    if upper.iter().all(|&w| w == u64::MAX) {
+        cubes.push(Vec::new());
+        return vec![u64::MAX; upper.len()];
+    }
+    let v = vars - 1;
+    let half = lower.len() / 2;
+    let (l0, l1) = lower.split_at(half);
+    let (u0, u1) = upper.split_at(half);
+    let and_not =
+        |a: &[u64], b: &[u64]| -> Vec<u64> { a.iter().zip(b).map(|(a, b)| a & !b).collect() };
 
     // Cubes that must contain x̄: ON where x = 0 but not coverable with x = 1.
-    let (c0, t0) = isop_rec(&(&l0 & &!&u1), &u0, v);
+    let start = cubes.len();
+    let t0 = isop_words(&and_not(l0, u1), u0, v, cubes);
+    append_lit(cubes, start, SignalLit::negative(v as u32));
     // Cubes that must contain x.
-    let (c1, t1) = isop_rec(&(&l1 & &!&u0), &u1, v);
+    let start = cubes.len();
+    let t1 = isop_words(&and_not(l1, u0), u1, v, cubes);
+    append_lit(cubes, start, SignalLit::positive(v as u32));
     // Remaining minterms, coverable independently of v.
-    let lnew = &(&l0 & &!&t0) | &(&l1 & &!&t1);
-    let (cstar, tstar) = isop_rec(&lnew, &(&u0 & &u1), v);
+    let lnew: Vec<u64> = and_not(l0, &t0)
+        .into_iter()
+        .zip(and_not(l1, &t1))
+        .map(|(a, b)| a | b)
+        .collect();
+    let ustar: Vec<u64> = u0.iter().zip(u1).map(|(a, b)| a & b).collect();
+    let tstar = isop_words(&lnew, &ustar, v, cubes);
 
-    let xvar = TruthTable::var(n, v);
-    let table = &(&(&!&xvar & &t0) | &(&xvar & &t1)) | &tstar;
+    let low = t0.iter().zip(&tstar).map(|(a, b)| a | b);
+    let high = t1.iter().zip(&tstar).map(|(a, b)| a | b);
+    low.chain(high).collect()
+}
 
-    let mut cubes = Vec::new();
-    for c in c0.cubes() {
-        let Some(cube) = c.intersect(&Cube::from_lits(&[nx])) else {
-            unreachable!("v cannot appear in a cofactor cover");
-        };
-        cubes.push(cube);
+/// [`isop_words`] for a table of at most six variables, held in the low
+/// `2^vars` bits of one word.
+fn isop_word(lower: u64, upper: u64, vars: usize, cubes: &mut Vec<Vec<SignalLit>>) -> u64 {
+    let mask = if vars == 6 {
+        u64::MAX
+    } else {
+        (1u64 << (1 << vars)) - 1
+    };
+    if lower == 0 {
+        return 0;
     }
-    for c in c1.cubes() {
-        let Some(cube) = c.intersect(&Cube::from_lits(&[x])) else {
-            unreachable!("v cannot appear in a cofactor cover");
-        };
-        cubes.push(cube);
+    if upper == mask {
+        cubes.push(Vec::new());
+        return mask;
     }
-    cubes.extend(cstar.cubes().iter().cloned());
-    (Cover::from_cubes(cubes), table)
+    debug_assert!(vars > 0, "non-constant bounds but no variables left");
+    let v = vars - 1;
+    let half = 1 << v;
+    let half_mask = (1u64 << half) - 1;
+    let (l0, l1) = (lower & half_mask, (lower >> half) & half_mask);
+    let (u0, u1) = (upper & half_mask, (upper >> half) & half_mask);
+
+    let start = cubes.len();
+    let t0 = isop_word(l0 & !u1, u0, v, cubes);
+    append_lit(cubes, start, SignalLit::negative(v as u32));
+    let start = cubes.len();
+    let t1 = isop_word(l1 & !u0, u1, v, cubes);
+    append_lit(cubes, start, SignalLit::positive(v as u32));
+    let tstar = isop_word((l0 & !t0) | (l1 & !t1), u0 & u1, v, cubes);
+
+    (t0 | tstar) | ((t1 | tstar) << half)
+}
+
+/// Adds `lit` to every cube from index `start` on. The cubes come from a
+/// cofactor of `lit`'s variable, so they only mention lower signals and
+/// `lit` goes last in sorted order.
+fn append_lit(cubes: &mut [Vec<SignalLit>], start: usize, lit: SignalLit) {
+    for cube in &mut cubes[start..] {
+        cube.push(lit);
+    }
 }
 
 #[cfg(test)]

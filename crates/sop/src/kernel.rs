@@ -7,6 +7,8 @@
 //! heterogeneous eliminate engine tunes elimination so that kerneling finds
 //! more sharing (Section IV-B).
 
+use std::collections::HashSet;
+
 use crate::cover::{Cover, Cube, SignalLit};
 use crate::divide::divide_by_cube;
 
@@ -32,16 +34,16 @@ use crate::divide::divide_by_cube;
 /// assert_eq!(ks[0].1, Cube::from_lits(&[a]));
 /// ```
 pub fn kernels(f: &Cover) -> Vec<(Cover, Cube)> {
-    let mut result = Vec::new();
+    let mut result = Kernels::default();
     // Normalize: pull out the largest common cube first.
     let cc = f.common_cube();
     let (g, _) = divide_by_cube(f, &cc);
     let universe = literals(&g);
     kernels_rec(&g, &cc, 0, &universe, &mut result);
     if g.is_cube_free() {
-        push_unique(&mut result, (g, cc));
+        result.push((g, cc));
     }
-    result
+    result.list
 }
 
 /// The distinct literals of a cover, sorted.
@@ -53,11 +55,19 @@ fn literals(f: &Cover) -> Vec<SignalLit> {
     set.into_iter().collect()
 }
 
-/// Keeps distinct (kernel, co-kernel) pairs; the same kernel can have
-/// several co-kernels and callers may want all of them.
-fn push_unique(result: &mut Vec<(Cover, Cube)>, entry: (Cover, Cube)) {
-    if !result.contains(&entry) {
-        result.push(entry);
+/// Distinct (kernel, co-kernel) pairs in first-found order; the same
+/// kernel can have several co-kernels and callers may want all of them.
+#[derive(Default)]
+struct Kernels {
+    list: Vec<(Cover, Cube)>,
+    seen: HashSet<(Cover, Cube)>,
+}
+
+impl Kernels {
+    fn push(&mut self, entry: (Cover, Cube)) {
+        if self.seen.insert(entry.clone()) {
+            self.list.push(entry);
+        }
     }
 }
 
@@ -69,25 +79,23 @@ fn kernels_rec(
     cokernel: &Cube,
     start: usize,
     universe: &[SignalLit],
-    result: &mut Vec<(Cover, Cube)>,
+    result: &mut Kernels,
 ) {
     for (i, &l) in universe.iter().enumerate().skip(start) {
-        if g.lit_count(l) < 2 {
+        // Common cube of all cubes containing l, if there are at least two.
+        let mut containing = g.cubes().iter().filter(|c| c.contains(l));
+        let Some(first) = containing.next() else {
+            continue;
+        };
+        let mut count = 1;
+        let mut common = first.clone();
+        for c in containing {
+            count += 1;
+            common = common.common(c);
+        }
+        if count < 2 {
             continue;
         }
-        // Common cube of all cubes containing l.
-        let mut common: Option<Cube> = None;
-        for c in g.cubes() {
-            if c.contains(l) {
-                common = Some(match common {
-                    None => c.clone(),
-                    Some(acc) => acc.common(c),
-                });
-            }
-        }
-        let Some(common) = common else {
-            unreachable!("lit_count >= 2 guarantees at least one cube contains l");
-        };
         // Duplicate-avoidance: skip if the common cube contains an earlier
         // literal from the universe (that branch already produced it).
         if universe[..i].iter().any(|&e| common.contains(e)) {
@@ -99,18 +107,9 @@ fn kernels_rec(
         };
         kernels_rec(&sub, &new_cokernel, i + 1, universe, result);
         if sub.is_cube_free() {
-            push_unique(result, (sub, new_cokernel));
+            result.push((sub, new_cokernel));
         }
     }
-}
-
-/// The *level-0* kernels: kernels that have no kernels other than
-/// themselves. Useful as cheap high-value divisors.
-pub fn level0_kernels(f: &Cover) -> Vec<(Cover, Cube)> {
-    kernels(f)
-        .into_iter()
-        .filter(|(k, _)| kernels(k).iter().all(|(inner, _)| inner == k))
-        .collect()
 }
 
 #[cfg(test)]
@@ -173,17 +172,5 @@ mod tests {
         assert_eq!(ks.len(), 1);
         assert_eq!(ks[0].0, f);
         assert!(ks[0].1.is_one());
-    }
-
-    #[test]
-    fn level0_kernels_are_minimal() {
-        let (a, b, c, d, e) = (lit(0), lit(1), lit(2), lit(3), lit(4));
-        let f = cover(&[&[a, c, e], &[b, c, e], &[d, e]]);
-        let l0 = level0_kernels(&f);
-        assert!(l0.iter().any(|(k, _)| *k == cover(&[&[a], &[b]])));
-        // The big kernel (a·c + b·c + d) has sub-kernels, so it is not L0.
-        assert!(l0
-            .iter()
-            .all(|(k, _)| *k != cover(&[&[a, c], &[b, c], &[d]])));
     }
 }

@@ -1,6 +1,6 @@
 //! Multi-level networks of SOP nodes with AIG round-trips.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use sbm_aig::{Aig, Lit as AigLit, NodeId};
 
@@ -110,10 +110,10 @@ impl SopNetwork {
     /// Signals of the nodes reachable from the outputs (live nodes only).
     pub fn live_nodes(&self) -> Vec<u32> {
         let mut live = Vec::new();
-        let mut seen: HashSet<u32> = HashSet::new();
+        let mut seen = vec![false; self.num_signals()];
         let mut stack: Vec<u32> = self.outputs.iter().map(|l| l.signal()).collect();
         while let Some(s) = stack.pop() {
-            if self.is_input(s) || !seen.insert(s) {
+            if self.is_input(s) || std::mem::replace(&mut seen[s as usize], true) {
                 continue;
             }
             live.push(s);
